@@ -11,9 +11,9 @@ use minex_core::{Partition, RootedTree, Shortcut};
 use minex_graphs::{EdgeId, Graph, UnionFind, WeightedGraph};
 
 use crate::mst::MstOutcome;
-use crate::partwise::partwise_min_impl;
+use crate::partwise::AggregationRoutes;
 use crate::pipeline::{pipelined_broadcast, pipelined_convergecast};
-use crate::solver::{into_sim, Solver};
+use crate::solver::{into_sim, ScratchArena, Solver};
 
 /// A builder that never assigns shortcut edges — parts communicate over
 /// `G[P_i]` alone.
@@ -100,6 +100,7 @@ pub fn gkp_mst(wg: &WeightedGraph, config: CongestConfig) -> Result<GkpOutcome, 
     let mut size = vec![1usize; n];
     let mut chosen: Vec<EdgeId> = Vec::new();
     let mut phase1_rounds = 0usize;
+    let mut scratch = ScratchArena::default();
     // ---- Phase 1: controlled Borůvka growth, no shortcuts.
     loop {
         // Only fragments below the size limit propose.
@@ -130,7 +131,8 @@ pub fn gkp_mst(wg: &WeightedGraph, config: CongestConfig) -> Result<GkpOutcome, 
             }
         }
         let shortcut = Shortcut::empty(parts.len());
-        let agg = partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config)?;
+        let routes = AggregationRoutes::compile(g, &parts, &shortcut);
+        let agg = routes.partwise_min(g, &values, value_bits, config, &mut scratch)?;
         phase1_rounds += agg.stats.rounds;
         let mut merged = false;
         for &best in &agg.minima {

@@ -24,6 +24,8 @@
 //!   shortcut-accelerated overlay SSSP via part-wise aggregation, all
 //!   validated against a sequential Dijkstra reference;
 //! * [`pipeline`] — pipelined `O(depth + k)` convergecast/broadcast;
+//! * [`reference`](mod@reference) — the `HashMap`-backed part-wise flood engines, kept
+//!   as differential oracles for the compiled slot engine in [`partwise`];
 //! * [`wire`] — wire schema v1: a dependency-free JSON value model plus
 //!   [`ToWire`](wire::ToWire)/[`FromWire`](wire::FromWire) codecs for every
 //!   query-surface type, shared by `minex-serve` and its clients;
@@ -99,6 +101,7 @@ pub mod mincut;
 pub mod mst;
 pub mod partwise;
 pub mod pipeline;
+pub mod reference;
 pub mod solver;
 pub mod sssp;
 pub mod wire;

@@ -81,10 +81,10 @@ use crate::mincut::{
     greedy_tree_packing, min_two_respecting_cut, one_respecting_cuts, stoer_wagner, MinCutOutcome,
 };
 use crate::mst::{MstOutcome, PhaseStats};
-use crate::partwise::partwise_min_impl;
+use crate::partwise::AggregationRoutes;
 use crate::sssp::{
-    bellman_ford_sssp, channel_distance_flood, dist_value_bits, part_centers, rescale, scale_for,
-    scale_weights, scaled_sssp, ScaledSsspOutcome, ShortcutSsspOutcome, SsspOutcome,
+    bellman_ford_sssp, dist_value_bits, part_centers, rescale, scale_for, scale_weights,
+    scaled_sssp, ScaledSsspOutcome, ShortcutSsspOutcome, SsspOutcome,
 };
 
 /// Structured errors of the session API. A serving process must never panic
@@ -157,8 +157,13 @@ pub enum Tier {
     Shortcut {
         /// The approximation parameter of the weight scaling.
         epsilon: f64,
-        /// Overlay phase budget (`parts + 2` always converges on covered
-        /// connected inputs).
+        /// Overlay phase budget. Estimates are sound upper bounds after
+        /// any number of phases, but the `(1+ε)` bound holds only once
+        /// the overlay reaches its fixpoint, so callers must check the
+        /// reported `converged` flag. Every phase ends with a
+        /// Bellman–Ford relaxation round, so `n` phases always suffice on
+        /// connected inputs. A budget of `parts + 2` does not: on mazes a
+        /// shortest path can enter and leave the same part many times.
         max_phases: usize,
     },
 }
@@ -830,11 +835,13 @@ fn resolve_parts(
 }
 
 /// The scale-independent half of a per-source shortcut-SSSP plan: the
-/// source-rooted shortcut over the session partition and its measured
-/// quality (the BFS tree is only needed during construction).
+/// measured quality of the source-rooted shortcut over the session
+/// partition, and that triple's compiled aggregation routes, shared by
+/// the ρ flood and every overlay phase (the BFS tree and the shortcut
+/// itself are only needed during construction).
 #[derive(Debug, Clone)]
 struct SsspStructure {
-    shortcut: Shortcut,
+    routes: AggregationRoutes,
     quality: usize,
 }
 
@@ -897,6 +904,11 @@ struct Caches {
     sssp_structure: HashMap<NodeId, SsspStructure>,
     /// Scale-dependent shortcut-SSSP plans keyed by `(source, scale)`.
     sssp_plans: HashMap<(NodeId, u64), SsspPlanEntry>,
+    /// Compiled aggregation routes of the session plan, built by the
+    /// first [`Solver::partwise_min`] that misses its memo. Derived from
+    /// the plan like the plan itself, so [`Caches::invalidate`] drops them
+    /// without counting them as memos.
+    plan_routes: Option<AggregationRoutes>,
     // ---- Query-result memos. Every query is a deterministic pure function
     // of (plan, arguments): the simulator has no hidden state and no
     // randomness, so serving a repeated query from the memo is
@@ -917,7 +929,9 @@ impl Caches {
     /// Drops every cached plan fragment and query memo — all of them are
     /// keyed (explicitly or implicitly) by the session graph, so any edge
     /// mutation invalidates the lot. Returns how many entries were
-    /// discarded, for [`RepairStats::memos_dropped`].
+    /// discarded, for [`RepairStats::memos_dropped`]; the plan's compiled
+    /// routes are dropped too but not counted, so repair statistics do
+    /// not depend on whether a `partwise_min` ran before the mutation.
     fn invalidate(&mut self) -> usize {
         let dropped = self.frag_shortcuts.len()
             + self.frag_quality.len()
@@ -937,13 +951,18 @@ impl Caches {
     }
 }
 
-/// Per-session scratch arena: a pool of node-sized `u64` columns the query
-/// hot paths lease instead of allocating. The Borůvka drives and the
+/// Buffers a [`ScratchArena`] keeps: more than any query holds at once
+/// (an overlay-SSSP phase holds three columns plus a flood's four).
+const SCRATCH_POOL_CAP: usize = 8;
+
+/// Per-session scratch arena: a pool of `u64` columns the query hot
+/// paths lease instead of allocating. The Borůvka drives and the
 /// overlay-SSSP phase loop each burn several `vec![u64::MAX; n]`-shaped
 /// buffers *per phase* (candidate values, relabel ids, previous-distance
-/// snapshots); on a plan-once / query-many session those allocations
-/// dominate the central bookkeeping cost. Leasing recycles the backing
-/// allocations across phases and across queries.
+/// snapshots), and every part-wise flood leases its four slot-state
+/// columns (see [`crate::partwise`]); on a plan-once / query-many session
+/// those allocations dominate the central bookkeeping cost. Leasing
+/// recycles the backing allocations across phases and across queries.
 ///
 /// Buffers are handed back explicitly ([`ScratchArena::give_back`]); a
 /// buffer dropped on an early `?` return simply leaves the pool — the next
@@ -951,14 +970,20 @@ impl Caches {
 /// never correctness. The arena holds no query state between leases
 /// (`lease` re-fills every slot), so it is invisible to results, memos,
 /// and traces.
+///
+/// The pool keeps at most [`SCRATCH_POOL_CAP`] buffers. Callers may hand
+/// back buffers they did not lease (the overlay-SSSP relax round returns
+/// a fresh distance column every phase), and pooled buffers keep the
+/// capacity of their largest lease, so an uncapped pool would hold one
+/// slot-state-sized buffer per phase for the session's lifetime.
 #[derive(Debug, Default)]
-struct ScratchArena {
+pub(crate) struct ScratchArena {
     pool: Vec<Vec<u64>>,
 }
 
 impl ScratchArena {
     /// Leases a buffer of length `n` with every slot set to `fill`.
-    fn lease(&mut self, n: usize, fill: u64) -> Vec<u64> {
+    pub(crate) fn lease(&mut self, n: usize, fill: u64) -> Vec<u64> {
         match self.pool.pop() {
             Some(mut buf) => {
                 buf.clear();
@@ -969,9 +994,12 @@ impl ScratchArena {
         }
     }
 
-    /// Returns a leased buffer's allocation to the pool.
-    fn give_back(&mut self, buf: Vec<u64>) {
-        self.pool.push(buf);
+    /// Returns a leased buffer's allocation to the pool, or frees it when
+    /// the pool is full.
+    pub(crate) fn give_back(&mut self, buf: Vec<u64>) {
+        if self.pool.len() < SCRATCH_POOL_CAP {
+            self.pool.push(buf);
+        }
     }
 }
 
@@ -1554,8 +1582,11 @@ impl Solver {
         let mut simulated_rounds = 0usize;
         let mut charged = 0usize;
         // Shortcut for the current partition; singleton fragments need none.
+        // Each fragmentation's routes are compiled once: the relabel flood's
+        // routes serve the next phase's candidate aggregation.
         let mut parts = singleton_partition(g);
         let mut shortcut = Shortcut::empty(parts.len());
+        let mut routes = AggregationRoutes::compile(g, &parts, &shortcut);
         let log_n = bits_for(n.max(2));
         // Relabel ids are the identity column every phase; lease it once.
         let mut ids = scratch.lease(n, 0);
@@ -1592,7 +1623,7 @@ impl Solver {
                 trace,
                 &tags,
                 1,
-                || partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config),
+                || routes.partwise_min(g, &values, value_bits, config, scratch),
                 |a| a.stats,
             )?;
             scratch.give_back(values);
@@ -1631,21 +1662,13 @@ impl Solver {
                     s
                 }
             };
+            let new_routes = AggregationRoutes::compile(g, &new_parts, &new_shortcut);
             let tags = PhaseLabel::new("mst", "relabel").with_attempt(phase);
             let relabel = traced(
                 trace,
                 &tags,
                 1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        &new_parts,
-                        &new_shortcut,
-                        &ids,
-                        bits_for(n.max(2)),
-                        config,
-                    )
-                },
+                || new_routes.partwise_min(g, &ids, bits_for(n.max(2)), config, scratch),
                 |a| a.stats,
             )?;
             simulated_rounds += relabel.stats.rounds;
@@ -1663,6 +1686,7 @@ impl Solver {
             });
             parts = new_parts;
             shortcut = new_shortcut;
+            routes = new_routes;
         }
         scratch.give_back(ids);
         chosen.sort_unstable();
@@ -2081,6 +2105,7 @@ impl Solver {
             ..
         } = *self;
         let structure = &caches.sssp_structure[&source];
+        let routes = &structure.routes;
         let entry = &caches.sssp_plans[&(source, scale)];
         let g = wg.graph();
         let n = g.n();
@@ -2116,16 +2141,7 @@ impl Solver {
                 trace,
                 &agg_tags,
                 1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        parts,
-                        &structure.shortcut,
-                        &values,
-                        entry.value_bits,
-                        config,
-                    )
-                },
+                || routes.partwise_min(g, &values, entry.value_bits, config, scratch),
                 |a| a.stats,
             )?;
             scratch.give_back(values);
@@ -2204,20 +2220,21 @@ impl Solver {
     }
 
     /// Builds (or reuses) the per-source shortcut-SSSP plan. The
-    /// scale-independent structure (source-rooted shortcut + quality) is
-    /// cached per source; only the scaled weights and the ρ flood are
-    /// per-`(source, scale)`, so an ε sweep over one source builds the
-    /// shortcut exactly once.
+    /// scale-independent structure (quality + compiled routes of the
+    /// source-rooted shortcut) is cached per source; only the scaled
+    /// weights and the ρ flood are per-`(source, scale)`, so an ε sweep
+    /// over one source builds the shortcut and its routes exactly once.
     fn ensure_sssp_plan(&mut self, source: NodeId, scale: u64) -> Result<(), AlgoError> {
         if !self.caches.sssp_structure.contains_key(&source) {
             let g = self.wg.graph();
             let tree = RootedTree::bfs(g, source);
             let shortcut = self.builder.build(g, &tree, &self.parts);
             let quality = measure_quality(g, &tree, &self.parts, &shortcut).quality;
+            let routes = AggregationRoutes::compile(g, &self.parts, &shortcut);
             evict_generation(&mut self.caches.sssp_structure, PLAN_CACHE_CAP);
             self.caches
                 .sssp_structure
-                .insert(source, SsspStructure { shortcut, quality });
+                .insert(source, SsspStructure { routes, quality });
             if let Some(tr) = self.trace.as_mut() {
                 tr.counters.plans_built += 1;
             }
@@ -2231,7 +2248,7 @@ impl Solver {
         let n = g.n();
         let scaled = scale_weights(wg, scale);
         let value_bits = dist_value_bits(&scaled) + 1;
-        let shortcut = &self.caches.sssp_structure[&source].shortcut;
+        let routes = &self.caches.sssp_structure[&source].routes;
         // One-time center potentials ρ: distance from the part center inside
         // the augmented part, all parts concurrently.
         let centers = part_centers(g, &self.parts, source);
@@ -2242,21 +2259,24 @@ impl Solver {
             .collect();
         let tags = PhaseLabel::new("sssp-shortcut", "rho");
         let config = self.config;
-        let (best, rho_stats) = traced(
+        let scratch = &mut self.scratch;
+        let flood = traced(
             &mut self.trace,
             &tags,
             1,
-            || channel_distance_flood(&scaled, &self.parts, shortcut, &seeds, value_bits, config),
-            |r| r.1,
+            || routes.channel_flood(&scaled, &seeds, value_bits, config, scratch),
+            |f| f.stats,
         )?;
         let rho: Vec<u64> = (0..n)
             .map(|v| match self.parts.part_of(v) {
-                Some(i) => *best[v]
-                    .get(&(i as u32))
+                Some(_) => flood
+                    .own(routes, v)
                     .expect("part is connected, so its flood reaches every node"),
                 None => u64::MAX,
             })
             .collect();
+        let rho_stats = flood.stats;
+        flood.release(scratch);
         self.caches.sssp_plans.insert(
             (source, scale),
             SsspPlanEntry {
@@ -2360,12 +2380,13 @@ impl Solver {
                 for (v, slot) in ids.iter_mut().enumerate() {
                     *slot = v as u64;
                 }
+                let routes = AggregationRoutes::compile(g, &parts, &shortcut);
                 let tags = PhaseLabel::new("components", "final-labels");
                 let agg = traced(
                     trace,
                     &tags,
                     1,
-                    || partwise_min_impl(g, &parts, &shortcut, &ids, bits_for(n.max(2)), config),
+                    || routes.partwise_min(g, &ids, bits_for(n.max(2)), config, scratch),
                     |a| a.stats,
                 )?;
                 scratch.give_back(ids);
@@ -2411,21 +2432,13 @@ impl Solver {
                     }
                 }
             }
+            let routes = AggregationRoutes::compile(g, &parts, &shortcut);
             let tags = PhaseLabel::new("components", "candidate").with_attempt(phases - 1);
             let agg = traced(
                 trace,
                 &tags,
                 1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        &parts,
-                        &shortcut,
-                        &values,
-                        bits_for(g.m().max(2)),
-                        config,
-                    )
-                },
+                || routes.partwise_min(g, &values, bits_for(g.m().max(2)), config, scratch),
                 |a| a.stats,
             )?;
             scratch.give_back(values);
@@ -2476,22 +2489,18 @@ impl Solver {
             Some(memo) => memo.clone(),
             None => {
                 let plan = self.plan.as_ref().expect("ensure_plan filled the plan");
+                let g = self.wg.graph();
+                let routes = self.caches.plan_routes.get_or_insert_with(|| {
+                    AggregationRoutes::compile(g, plan.parts(), plan.shortcut())
+                });
                 let tags = PhaseLabel::new("partwise", "min");
                 let config = self.config;
+                let scratch = &mut self.scratch;
                 let agg = traced(
                     &mut self.trace,
                     &tags,
                     1,
-                    || {
-                        partwise_min_impl(
-                            self.wg.graph(),
-                            plan.parts(),
-                            plan.shortcut(),
-                            values,
-                            value_bits,
-                            config,
-                        )
-                    },
+                    || routes.partwise_min(g, values, value_bits, config, scratch),
                     |a| a.stats,
                 )?;
                 let runs = vec![PhaseRun {
@@ -2878,6 +2887,40 @@ mod tests {
         assert!(stats.memos_dropped > 0);
         assert!(solver.graph().has_edge(u, v));
         assert_matches_fresh(&mut solver, strategy, SteinerBuilder);
+    }
+
+    #[test]
+    fn apply_drops_plan_routes_without_counting_them() {
+        let wg = weighted(15);
+        let g = wg.graph().clone();
+        let strategy = PartsStrategy::Voronoi { parts: 5, seed: 4 };
+        let mut solver = Solver::builder(&wg)
+            .parts(strategy.clone())
+            .shortcut_builder(SteinerBuilder)
+            .config(cfg(g.n()))
+            .build()
+            .unwrap();
+        let values: Vec<u64> = (0..g.n() as u64).rev().collect();
+        solver.partwise_min(&values, 16).unwrap();
+        assert!(solver.caches.plan_routes.is_some());
+        let (u, v) = (0, (g.n() - 1) as NodeId);
+        let stats = solver
+            .apply(&[EdgeMutation::Insert { u, v, weight: 1 }])
+            .unwrap();
+        // Only the part-wise memo counts; the compiled routes are derived
+        // state and leave no trace in the repair statistics.
+        assert_eq!(stats.memos_dropped, 1);
+        assert!(solver.caches.plan_routes.is_none());
+        let mut fresh = Solver::builder(solver.weighted_graph())
+            .parts(strategy)
+            .shortcut_builder(SteinerBuilder)
+            .config(cfg(g.n()))
+            .build()
+            .unwrap();
+        assert_eq!(
+            solver.partwise_min(&values, 16).unwrap(),
+            fresh.partwise_min(&values, 16).unwrap()
+        );
     }
 
     #[test]

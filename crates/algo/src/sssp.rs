@@ -31,13 +31,11 @@
 //! The shortcut construction itself is charged analytically at
 //! `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\], mirroring [`crate::mst`].
 
-use std::collections::HashMap;
-
 use minex_congest::primitives::{build_bfs_tree, weighted_distance_flood};
-use minex_congest::{bits_for, run, CongestConfig, Ctx, NodeProgram, Payload, RunStats, SimError};
+use minex_congest::{bits_for, CongestConfig, RunStats, SimError};
 use minex_core::construct::ShortcutBuilder;
-use minex_core::{Partition, Shortcut};
-use minex_graphs::dist::{dist_add, dist_mul, UNREACHED};
+use minex_core::Partition;
+use minex_graphs::dist::{dist_mul, UNREACHED};
 use minex_graphs::{traversal, Graph, NodeId, WeightedGraph};
 
 use crate::solver::{into_sim, PartsStrategy, Solver, Tier};
@@ -278,153 +276,6 @@ pub fn scaled_sssp(
     })
 }
 
-/// A `(channel, value)` flood message with honest bit accounting, used by
-/// the part-wise center-distance flood.
-#[derive(Debug, Clone)]
-pub struct ChannelMsg {
-    channel: u32,
-    value: u64,
-    channel_bits: usize,
-    value_bits: usize,
-}
-
-impl Payload for ChannelMsg {
-    fn bit_size(&self) -> usize {
-        self.channel_bits + self.value_bits
-    }
-}
-
-/// Per-node program of the channel distance flood: like
-/// the part-wise minimum engine, but values accumulate edge weights as they
-/// travel, so channel `i` converges to distances from its seeds inside
-/// `G[P_i] + H_i`. One message per incident edge per round; parts sharing an
-/// edge queue behind each other — the congestion mechanism of Theorem 1.
-#[derive(Debug, Clone)]
-struct ChannelFloodNode {
-    /// Sorted `(neighbor, edge weight, channels shared with that neighbor)`.
-    links: Vec<(NodeId, u64, Vec<u32>)>,
-    /// Best known value per channel.
-    best: HashMap<u32, u64>,
-    /// Outgoing queues: per link index, pending per-channel updates.
-    pending: Vec<HashMap<u32, u64>>,
-    channel_bits: usize,
-    value_bits: usize,
-}
-
-impl ChannelFloodNode {
-    fn enqueue_update(&mut self, channel: u32, value: u64, skip: Option<NodeId>) {
-        for (li, (nb, _, channels)) in self.links.iter().enumerate() {
-            if Some(*nb) == skip {
-                continue;
-            }
-            if channels.binary_search(&channel).is_ok() {
-                let entry = self.pending[li].entry(channel).or_insert(u64::MAX);
-                if value < *entry {
-                    *entry = value;
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, channel: u32, value: u64, skip: Option<NodeId>) {
-        let improves = self.best.get(&channel).map_or(true, |&cur| value < cur);
-        if improves {
-            self.best.insert(channel, value);
-            self.enqueue_update(channel, value, skip);
-        }
-    }
-}
-
-impl NodeProgram for ChannelFloodNode {
-    type Msg = ChannelMsg;
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        // Read the inbox by reference (all sends happen below, after the
-        // reads) — the hot loop allocates nothing.
-        for &(from, ref msg) in ctx.inbox() {
-            let w = self
-                .links
-                .binary_search_by_key(&from, |&(nb, _, _)| nb)
-                .map(|i| self.links[i].1)
-                .expect("sender is a neighbor");
-            self.absorb(msg.channel, dist_add(msg.value, w), Some(from));
-        }
-        for li in 0..self.links.len() {
-            if self.pending[li].is_empty() {
-                continue;
-            }
-            let (&channel, &value) = self.pending[li]
-                // minex-lint: allow(D001) min over the total-order key (value, channel) is iteration-order-insensitive
-                .iter()
-                .min_by_key(|(&c, &v)| (v, c))
-                .expect("non-empty queue");
-            self.pending[li].remove(&channel);
-            // Drop values a better flood already beat.
-            if self.best.get(&channel).is_some_and(|&b| b < value) {
-                continue;
-            }
-            let to = self.links[li].0;
-            ctx.send(
-                to,
-                ChannelMsg {
-                    channel,
-                    value,
-                    channel_bits: self.channel_bits,
-                    value_bits: self.value_bits,
-                },
-            );
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.pending.iter().all(HashMap::is_empty)
-    }
-}
-
-/// Floods weighted distances from per-channel seeds over each part's
-/// augmented subgraph `G[P_i] + H_i`, all parts concurrently under the
-/// global CONGEST budget. Returns each node's best value per channel.
-///
-/// # Errors
-///
-/// Propagates [`SimError`].
-pub(crate) fn channel_distance_flood(
-    wg: &WeightedGraph,
-    parts: &Partition,
-    shortcut: &Shortcut,
-    seeds: &[(NodeId, u32, u64)],
-    value_bits: usize,
-    config: CongestConfig,
-) -> Result<(Vec<HashMap<u32, u64>>, RunStats), SimError> {
-    let g = wg.graph();
-    let channel_bits = bits_for(parts.len().max(2));
-    // Same edge → parts rule as partwise_min: e ∈ H_i or both ends in P_i.
-    let channels = crate::partwise::parts_of_edge(g, parts, shortcut);
-    let mut programs: Vec<ChannelFloodNode> = (0..g.n())
-        .map(|v| {
-            let mut links: Vec<(NodeId, u64, Vec<u32>)> = Vec::new();
-            for (w, e) in g.neighbors(v) {
-                if !channels[e].is_empty() {
-                    links.push((w, wg.weight(e), channels[e].clone()));
-                }
-            }
-            links.sort_by_key(|&(nb, _, _)| nb);
-            ChannelFloodNode {
-                pending: vec![HashMap::new(); links.len()],
-                links,
-                best: HashMap::new(),
-                channel_bits,
-                value_bits,
-            }
-        })
-        .collect();
-    for &(v, channel, value) in seeds {
-        programs[v].absorb(channel, value, None);
-    }
-    let stats = run(g, &mut programs, config)?;
-    Ok((programs.into_iter().map(|p| p.best).collect(), stats))
-}
-
 /// Per-part centers: the node of minimum hop eccentricity within the
 /// induced part subgraph (ties to the smallest id), except that the part
 /// containing `source` is centered at `source` itself so near-source
@@ -514,10 +365,10 @@ pub struct SsspComparison {
 /// undercuts it (via [`max_stretch`]). The same check also fires when
 /// `max_phases` is too small for the shortcut tier's estimates to reach
 /// every node Dijkstra reaches: an unreached node shows up as a
-/// reachability disagreement. Give the tier enough phases for information
-/// to cross every part on some path from the source (one aggregation plus
-/// one relax hop per phase) — `parts.len() + 2` always suffices on
-/// connected, fully covered inputs.
+/// reachability disagreement. Every phase ends with a Bellman–Ford
+/// relaxation round, so `n` phases always suffice on connected inputs;
+/// smaller budgets (such as `parts.len() + 2`) may stop short of the
+/// fixpoint, which the returned `shortcut_converged` reports.
 pub fn compare_sssp<B: ShortcutBuilder + Send + 'static>(
     wg: &WeightedGraph,
     source: NodeId,
@@ -571,9 +422,11 @@ pub fn compare_sssp<B: ShortcutBuilder + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{PartsStrategy, Solver, Sssp, SsspDetail, Tier};
+    use crate::partwise::AggregationRoutes;
+    use crate::solver::{PartsStrategy, ScratchArena, Solver, Sssp, SsspDetail, Tier};
     use crate::workloads;
     use minex_core::construct::{AutoCappedBuilder, WholeTreeBuilder};
+    use minex_core::Shortcut;
     use minex_graphs::{generators, WeightModel};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -705,14 +558,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let wg = WeightModel::Uniform { lo: 1, hi: 30 }.apply(&g, &mut rng);
         let parts = Partition::new(&g, vec![(0..g.n()).collect()]).unwrap();
-        let shortcut = Shortcut::empty(1);
-        let (per_node, stats) =
-            channel_distance_flood(&wg, &parts, &shortcut, &[(4, 0, 0)], 24, cfg(g.n())).unwrap();
+        let routes = AggregationRoutes::compile(&g, &parts, &Shortcut::empty(1));
+        let mut scratch = ScratchArena::default();
+        let flood = routes
+            .channel_flood(&wg, &[(4, 0, 0)], 24, cfg(g.n()), &mut scratch)
+            .unwrap();
         let d = traversal::dijkstra(&wg, 4);
-        for (v, channels) in per_node.iter().enumerate() {
-            assert_eq!(channels[&0], d.dist[v], "node {v}");
+        for v in 0..g.n() {
+            assert_eq!(flood.own(&routes, v), Some(d.dist[v]), "node {v}");
         }
-        assert!(stats.rounds > 0);
+        assert!(flood.stats.rounds > 0);
     }
 
     #[test]
@@ -786,6 +641,54 @@ mod tests {
                 assert!(out.dist[v] >= d.dist[v], "node {v}");
             }
         }
+    }
+
+    #[test]
+    fn parts_plus_two_phases_do_not_suffice_on_a_maze() {
+        // A 32-part maze: shortest paths weave in and out of parts, so a
+        // `parts + 2` budget stops short of the fixpoint. The estimates
+        // stay sound upper bounds; with `n` phases the overlay converges
+        // and the `(1+ε)` bound holds.
+        let mut rng = StdRng::seed_from_u64(1);
+        let (wg, parts) = workloads::maze_grid(32, 32, 32, &mut rng);
+        let n = wg.graph().n();
+        let d = traversal::dijkstra(&wg, 0);
+        let eps = 0.5;
+        let short = session_shortcut_sssp(
+            &wg,
+            0,
+            &parts,
+            minex_core::construct::SteinerBuilder,
+            eps,
+            parts.len() + 2,
+        );
+        assert!(matches!(
+            short.detail,
+            SsspDetail::Shortcut {
+                converged: false,
+                ..
+            }
+        ));
+        for v in 0..n {
+            assert!(short.dist[v] >= d.dist[v], "node {v} undercuts Dijkstra");
+        }
+        let full = session_shortcut_sssp(
+            &wg,
+            0,
+            &parts,
+            minex_core::construct::SteinerBuilder,
+            eps,
+            n,
+        );
+        assert!(matches!(
+            full.detail,
+            SsspDetail::Shortcut {
+                converged: true,
+                ..
+            }
+        ));
+        let stretch = max_stretch(&full.dist, &d.dist);
+        assert!(stretch <= 1.0 + eps + 1e-9, "stretch {stretch}");
     }
 
     #[test]

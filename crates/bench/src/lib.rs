@@ -1964,8 +1964,13 @@ pub fn e18_serve(full: bool) -> Table {
 
 /// The deterministic traced session behind `experiments --trace` (and the
 /// `MINEX_TRACE` env var): a fixed 8×8 tri-grid workload serving an MST
-/// (twice — the repeat is a memo hit), a part-wise MIN, and an exact SSSP,
-/// exported as JSON Lines via `SessionTrace::to_jsonl`.
+/// (twice — the repeat is a memo hit), a part-wise MIN, an exact SSSP,
+/// connected components, and a shortcut-tier SSSP (its ρ channel flood
+/// and every overlay phase), exported as JSON Lines via
+/// `SessionTrace::to_jsonl`. Between them the queries run every
+/// simulator program behind the session API: Borůvka candidate and
+/// relabel floods, the components floods, the ρ flood, the overlay
+/// aggregations and relax rounds, and the Bellman–Ford flood.
 ///
 /// The output is byte-identical across the sequential and parallel engines
 /// and any `MINEX_THREADS` setting — the CI telemetry step `cmp`s the
@@ -1988,6 +1993,16 @@ pub fn trace_session_jsonl() -> String {
     let values: Vec<u64> = (0..g.n() as u64).collect();
     session.partwise_min(&values, 32).expect("aggregation");
     session.sssp(0, Tier::Exact).expect("exact sssp");
+    session.components().expect("components");
+    session
+        .sssp(
+            0,
+            Tier::Shortcut {
+                epsilon: 0.5,
+                max_phases: g.n(),
+            },
+        )
+        .expect("shortcut sssp");
     session.take_trace().expect("tracing is on").to_jsonl()
 }
 
@@ -2380,8 +2395,12 @@ mod tests {
             .last()
             .unwrap()
             .starts_with("{\"type\":\"summary\""));
-        // The fixed workload exercises the memo path: 4 queries, 1 hit.
-        assert!(seq.contains("\"queries\":4,\"memo_hits\":1,\"memo_misses\":3"));
+        // The fixed workload exercises the memo path: 6 queries, 1 hit.
+        assert!(seq.contains("\"queries\":6,\"memo_hits\":1,\"memo_misses\":5"));
+        // ...and every aggregation-backed program the session runs.
+        for phase in ["mst", "partwise", "components", "sssp-shortcut"] {
+            assert!(seq.contains(&format!("\"phase\":\"{phase}\"")), "{phase}");
+        }
     }
 
     #[test]
