@@ -40,8 +40,8 @@
 //! `best` and its presence flags (one cell per slot), and `pending` and
 //! its queued flags (one cell per entry). Each node program borrows its
 //! own contiguous slice of every column, so the state holds no `HashMap`
-//! and no per-node allocation, and the parallel engine's shards own
-//! disjoint slices. Presence is a separate flag because `u64::MAX` is a
+//! and no per-node allocation, and the engine's shards own disjoint
+//! slices. Presence is a separate flag because `u64::MAX` is a
 //! legitimate value: a node with no value for a part accepts and forwards
 //! a `u64::MAX` one, a node already holding `u64::MAX` does not.
 //!

@@ -317,8 +317,8 @@ pub struct QuerySpan {
 ///
 /// Enable with [`SolverBuilder::trace`] or [`Solver::enable_trace`]; read
 /// with [`Solver::trace`] or drain with [`Solver::take_trace`]. The whole
-/// record is deterministic: byte-identical across the sequential and
-/// parallel engines and any `MINEX_THREADS` setting.
+/// record is deterministic: byte-identical across engine thread counts and
+/// any `MINEX_THREADS` setting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionTrace {
     /// Session-lifetime counters.

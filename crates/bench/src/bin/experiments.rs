@@ -2,8 +2,8 @@
 //! sweeps used in `EXPERIMENTS.md`; name ids (e.g. `E6 E7`) to run a
 //! subset; pass `--csv <dir>` to also dump each table as `<dir>/<id>.csv`
 //! so bench trajectories can be tracked across PRs; `--threads <n>` runs
-//! every simulation on the n-worker engine (0 = all cores; results are
-//! byte-identical to the sequential engine, only wall time changes);
+//! every simulation on n engine shards (0 = all cores; results are
+//! byte-identical to one shard, only wall time changes);
 //! `--perf-json <file>` writes a machine-readable wall-time summary
 //! (`BENCH_pr.json` in CI), including a `plan_reuse` section with E14's
 //! solver-vs-legacy amortization figures, an `engine_scaling` section with

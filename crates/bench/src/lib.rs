@@ -1972,8 +1972,8 @@ pub fn e18_serve(full: bool) -> Table {
 /// relabel floods, the components floods, the ρ flood, the overlay
 /// aggregations and relax rounds, and the Bellman–Ford flood.
 ///
-/// The output is byte-identical across the sequential and parallel engines
-/// and any `MINEX_THREADS` setting — the CI telemetry step `cmp`s the
+/// The output is byte-identical across engine thread counts and any
+/// `MINEX_THREADS` setting — the CI telemetry step `cmp`s the
 /// files from two thread counts, and `trace_jsonl_is_engine_independent`
 /// asserts the same in-process.
 pub fn trace_session_jsonl() -> String {

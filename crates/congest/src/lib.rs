@@ -9,19 +9,20 @@
 //! bits and per-edge-per-round uniqueness is checked — so the *round counts*
 //! it reports are the model's true cost measure.
 //!
-//! Two execution engines share those semantics: the sequential round loop
-//! (default) and a deterministic multi-threaded engine selected via
-//! [`CongestConfig::with_threads`] (or the `MINEX_THREADS` environment
-//! variable). Successful runs are byte-identical across engines —
-//! [`RunStats`], program outputs, and the error *selection* on failing runs
-//! (see [`run`]); threads only trade wall-clock time.
+//! One engine runs one per-node round body over contiguous node-id shards:
+//! inline on the caller's thread by default, or deterministically across
+//! worker threads selected via [`CongestConfig::with_threads`] (or the
+//! `MINEX_THREADS` environment variable). Successful runs are
+//! byte-identical across shard counts — [`RunStats`], program outputs, and
+//! the error *selection* on failing runs (see [`run`]); threads only trade
+//! wall-clock time.
 //!
-//! Both engines are instrumented with the zero-cost-when-off
+//! The engine is instrumented with the zero-cost-when-off
 //! [`telemetry`] layer: a [`Sink`] receives per-round, per-send,
 //! per-delivery, and rejection events, and the [`CongestionProfile`]
 //! recorder turns them into per-edge congestion maps, per-round
-//! histograms, and phase attribution — byte-identical across engines and
-//! thread counts. The default [`NoopSink`] monomorphizes every hook away.
+//! histograms, and phase attribution — byte-identical across thread
+//! counts. The default [`NoopSink`] monomorphizes every hook away.
 //!
 //! ## Example
 //!

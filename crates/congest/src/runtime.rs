@@ -17,10 +17,11 @@ pub struct CongestConfig {
     pub bandwidth_bits: usize,
     /// Abort the run after this many rounds (guards against livelock).
     pub max_rounds: usize,
-    /// Worker threads for the execution engine: `1` runs the sequential
-    /// engine, larger values shard each round across that many workers, and
-    /// `0` resolves to the machine's available parallelism. Both engines
-    /// produce byte-identical [`RunStats`], program outputs, and errors.
+    /// Shard count of the engine: `1` runs every round inline on the
+    /// caller's thread, larger values shard each round across that many
+    /// threads (the caller's plus worker threads), and `0` resolves to the
+    /// machine's available parallelism. Every shard count produces
+    /// byte-identical [`RunStats`], program outputs, and errors.
     pub threads: usize,
 }
 
@@ -42,8 +43,8 @@ impl CongestConfig {
     /// `B = 8·⌈log₂(n+1)⌉` bits (a generous constant, enough for a tagged
     /// id/weight pair) and a `64·n + 1024` round guard. The engine thread
     /// count defaults to the `MINEX_THREADS` environment variable (else 1),
-    /// so a test matrix can exercise the parallel engine without touching
-    /// call sites.
+    /// so a test matrix can exercise sharded runs without touching call
+    /// sites.
     ///
     /// `n = 0` (an empty network) is clamped to `n = 1` so degenerate inputs
     /// still produce the same well-formed budgets as a singleton network
@@ -71,7 +72,7 @@ impl CongestConfig {
         self
     }
 
-    /// Overrides the engine thread count (`1` = sequential engine, `0` =
+    /// Overrides the engine thread count (`1` = one inline shard, `0` =
     /// available parallelism). Results are identical either way; threads only
     /// trade wall-clock time.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -92,10 +93,10 @@ impl CongestConfig {
 
 /// Cost and volume statistics of a completed run.
 ///
-/// Every counter is **engine-independent**: the sequential and the
-/// multi-threaded engine produce byte-identical `RunStats` for the same
-/// graph, programs, and config — [`threads`](CongestConfig::threads) only
-/// changes wall-clock time, never what is measured.
+/// Every counter is **shard-count-independent**: every
+/// [`threads`](CongestConfig::threads) setting produces byte-identical
+/// `RunStats` for the same graph, programs, and config — threads only
+/// change wall-clock time, never what is measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Number of synchronous rounds executed until global quiescence.
@@ -195,9 +196,9 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// Per-sender send validation shared by both engines, so the CONGEST
-/// constraints are checked in exactly the same order (neighborship, then
-/// per-edge-per-round uniqueness, then bandwidth) regardless of engine.
+/// Per-sender send validation, one per shard, so the CONGEST constraints
+/// are checked in exactly the same order (neighborship, then
+/// per-edge-per-round uniqueness, then bandwidth) on every shard.
 #[derive(Debug)]
 pub(crate) struct SendValidator {
     /// Destinations already used by the current sender this round.
@@ -276,23 +277,26 @@ impl SendValidator {
 /// Returns the run statistics. Programs can be inspected afterwards to
 /// extract their outputs.
 ///
-/// [`CongestConfig::threads`] selects the execution engine: `1` (the
-/// default) is the sequential round loop, anything larger shards each round
-/// across that many worker threads. On every successful run the engines are
-/// observationally identical — same `RunStats`, same program states — because
-/// CONGEST rounds are embarrassingly parallel: every node reads only its own
-/// inbox and writes only its own outbox, and the parallel engine merges
-/// outboxes into the next round's inboxes in node-id order.
+/// Every round runs one per-node body (deliver, `on_round`, validate, emit)
+/// over contiguous node-id shards; [`CongestConfig::threads`] sets their
+/// number. With `1` (the default) the body runs inline on the caller's
+/// thread and emits straight into the next round's inboxes; with more, the
+/// shards run on worker threads and a coordinator merges their sends. On
+/// every successful run all shard counts are observationally identical —
+/// same `RunStats`, same program states — because CONGEST rounds are
+/// embarrassingly parallel: every node reads only its own inbox and writes
+/// only its own outbox, and shard sends merge into the next round's
+/// inboxes in node-id order.
 ///
 /// # Errors
 ///
 /// Returns a [`SimError`] if a program violates the CONGEST constraints or
-/// the round guard fires. Error selection is deterministic on both engines:
-/// the violation with the smallest sender id (and, within one sender, the
-/// earliest queued message) is the one reported. After an `Err`, though,
-/// the *program states* are engine-dependent (the sequential engine stops
-/// mid-round at the offender; a parallel run's other shards finish their
-/// nodes first) — only inspect `programs` after an `Ok`.
+/// the round guard fires. Error selection is deterministic on every shard
+/// count: the violation with the smallest sender id (and, within one
+/// sender, the earliest queued message) is the one reported. After an
+/// `Err`, though, the *program states* depend on the shard count (each
+/// shard stops mid-round at its own first offender, while the other shards
+/// finish their nodes) — only inspect `programs` after an `Ok`.
 ///
 /// # Panics
 ///
@@ -343,16 +347,16 @@ where
         graph.n(),
         "one program per node is required"
     );
-    // More workers than nodes cannot help; empty networks and singletons
-    // always take the sequential path.
+    // More shards than nodes cannot help; empty networks and singletons
+    // always run as one shard.
     let threads = config.resolved_threads().min(graph.n().max(1));
     let result = if threads <= 1 {
         run_sequential(graph, programs, config, sink)
     } else {
         crate::parallel::run_parallel(graph, programs, config, threads, sink)
     };
-    // Rejections are reported here, after the parallel engine has merged
-    // its shard sinks, so both engines fire exactly one deterministic
+    // Rejections are reported here, after a sharded run has merged its
+    // shard sinks, so every shard count fires exactly one deterministic
     // rejection event on the root sink.
     if let Err(ref err) = result {
         sink.on_reject(err);
@@ -360,7 +364,9 @@ where
     result
 }
 
-/// The single-threaded engine: the reference semantics.
+/// The one-shard engine: the round loop around [`ShardStep`], delivering
+/// each validated outbox straight into the next round's inboxes — no
+/// thread, no channel, one move per message.
 fn run_sequential<P: NodeProgram, S: Sink>(
     graph: &(dyn GraphView + Sync),
     programs: &mut [P],
@@ -368,73 +374,138 @@ fn run_sequential<P: NodeProgram, S: Sink>(
     sink: &mut S,
 ) -> Result<RunStats, SimError> {
     let n = graph.n();
-    let mut stats = RunStats::default();
-    // Batched delivery via double-buffered inboxes: `inboxes[v]` holds the
-    // messages delivered to `v` this round, `next_inboxes[v]` collects the
-    // sends for the next one. Both sides (and the scratch buffers below) are
-    // allocated once; each round consumes in place and swaps the buffers, so
-    // the steady-state loop performs no allocation.
+    // Double-buffered inboxes: `inboxes[v]` holds the messages delivered to
+    // `v` this round, `next_inboxes[v]` collects the sends for the next one.
+    // Both are allocated once; the step empties each consumed inbox in place
+    // and the buffers swap, so the steady-state loop performs no allocation.
     let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
     let mut next_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
-    let mut outbox: Outbox<P::Msg> = Outbox::new();
-    let mut validator = SendValidator::new(n);
+    let mut step = ShardStep::new(graph, config, 0);
     for round in 0..config.max_rounds {
         sink.on_round_start(round);
-        let mut any_message = false;
-        for v in 0..n {
-            // Quiescence fast path: a done node with no mail does not act.
-            // Round 0 always runs so programs can initialize.
-            if round > 0 && inboxes[v].is_empty() && programs[v].is_done() {
-                continue;
-            }
-            for (from, msg) in &inboxes[v] {
-                sink.on_deliver(round, *from, v, msg.bit_size());
-            }
-            outbox.clear();
-            {
-                let mut ctx = Ctx::new(graph, v, round, &inboxes[v], &mut outbox);
-                programs[v].on_round(&mut ctx);
-            }
-            // The inbox is consumed; empty it in place, keeping its capacity
-            // for the swap two rounds from now.
-            inboxes[v].clear();
-            // Validation sweep: a branch-light pass over just the id/hint
-            // columns (payloads untouched — only `bit_size` is read).
-            for i in 0..outbox.len() {
-                let to = outbox.dsts[i] as NodeId;
-                let bits = outbox.payloads[i].bit_size();
-                let edge = validator.check(graph, &config, v, to, outbox.hints[i], bits)?;
-                sink.on_send(round, v, to, edge, bits);
-                stats.messages += 1;
-                stats.total_bits += bits as u64;
-                stats.max_message_bits = stats.max_message_bits.max(bits);
-                any_message = true;
-            }
-            validator.finish_sender();
-            // Every send validated: move the payload column into the
-            // destination inboxes. Deferring the moves past the sweep is
-            // unobservable — an `Err` above returns immediately and all
-            // engine state is discarded.
+        let sent_before = step.stats.messages;
+        let all_done = step.run(round, programs, &mut inboxes, sink, |v, outbox| {
             for (&to, msg) in outbox.dsts.iter().zip(outbox.payloads.drain(..)) {
                 next_inboxes[to as usize].push((v, msg));
             }
-            outbox.clear();
-        }
-        let all_done = (0..n).all(|v| programs[v].is_done());
-        // Every processed slot of `inboxes` was cleared above and skipped
-        // slots were already empty, so after the swap `next_inboxes` is all
-        // empty (but warm) for the round after next.
+        })?;
+        // Every processed inbox was emptied by the step and skipped ones
+        // were already empty, so after the swap `next_inboxes` is all empty
+        // (but warm) for the round after next.
         std::mem::swap(&mut inboxes, &mut next_inboxes);
         sink.on_round_end(round);
-        if all_done && !any_message {
-            stats.rounds = round;
-            return Ok(stats);
+        if all_done && step.stats.messages == sent_before {
+            return Ok(RunStats {
+                rounds: round,
+                ..step.stats
+            });
         }
-        stats.rounds = round + 1;
     }
     Err(SimError::MaxRoundsExceeded {
         limit: config.max_rounds,
     })
+}
+
+/// The per-node round body shared by every shard of the engine: one
+/// contiguous range of nodes `lo..lo + programs.len()`, with the outbox and
+/// validator scratch it reuses every round.
+pub(crate) struct ShardStep<'g, M> {
+    graph: &'g (dyn GraphView + Sync),
+    config: CongestConfig,
+    lo: NodeId,
+    outbox: Outbox<M>,
+    validator: SendValidator,
+    /// Validated sends so far (`messages`, `total_bits`,
+    /// `max_message_bits`; `rounds` stays 0). The sharded coordinator takes
+    /// it every round, the one-shard engine keeps it for the whole run.
+    pub(crate) stats: RunStats,
+}
+
+impl<'g, M: Payload> ShardStep<'g, M> {
+    pub(crate) fn new(
+        graph: &'g (dyn GraphView + Sync),
+        config: CongestConfig,
+        lo: NodeId,
+    ) -> Self {
+        ShardStep {
+            graph,
+            config,
+            lo,
+            outbox: Outbox::new(),
+            validator: SendValidator::new(graph.n()),
+            stats: RunStats::default(),
+        }
+    }
+
+    /// Runs round `round` for this shard's nodes, in ascending id order.
+    /// `inboxes[i]` is node `lo + i`'s inbox and is emptied once consumed.
+    /// Per node: skip it if it is done and has no mail (round 0 always
+    /// runs, so programs can initialize); fire `on_deliver` for each inbox
+    /// message; run `on_round`; validate the outbox, firing `on_send` and
+    /// counting each send; then hand the whole validated outbox to `emit`,
+    /// which must move its payloads out.
+    ///
+    /// Returns whether every program of the shard is done after the round.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the shard's first violation in (node id, outbox position)
+    /// order. The offending node's earlier sends are never emitted, and the
+    /// validator is left dirty — an error aborts the run, so neither is
+    /// observable.
+    #[inline]
+    pub(crate) fn run<P, S, E>(
+        &mut self,
+        round: usize,
+        programs: &mut [P],
+        inboxes: &mut [Vec<(NodeId, M)>],
+        sink: &mut S,
+        mut emit: E,
+    ) -> Result<bool, SimError>
+    where
+        P: NodeProgram<Msg = M>,
+        S: Sink,
+        E: FnMut(NodeId, &mut Outbox<M>),
+    {
+        let ShardStep {
+            graph,
+            config,
+            lo,
+            outbox,
+            validator,
+            stats,
+        } = self;
+        for (i, (program, inbox)) in programs.iter_mut().zip(inboxes.iter_mut()).enumerate() {
+            if round > 0 && inbox.is_empty() && program.is_done() {
+                continue;
+            }
+            let v = *lo + i;
+            for (from, msg) in inbox.iter() {
+                sink.on_deliver(round, *from, v, msg.bit_size());
+            }
+            outbox.clear();
+            program.on_round(&mut Ctx::new(*graph, v, round, inbox, outbox));
+            // Keep the consumed inbox's capacity for the swap two rounds on.
+            inbox.clear();
+            // Validation sweep: a branch-light pass over the id/hint
+            // columns (of the payloads only `bit_size` is read).
+            let (mut total_bits, mut max_bits) = (0u64, 0usize);
+            for j in 0..outbox.len() {
+                let to = outbox.dsts[j] as NodeId;
+                let bits = outbox.payloads[j].bit_size();
+                let edge = validator.check(*graph, config, v, to, outbox.hints[j], bits)?;
+                sink.on_send(round, v, to, edge, bits);
+                total_bits += bits as u64;
+                max_bits = max_bits.max(bits);
+            }
+            stats.messages += outbox.len() as u64;
+            stats.total_bits += total_bits;
+            stats.max_message_bits = stats.max_message_bits.max(max_bits);
+            validator.finish_sender();
+            emit(v, outbox);
+        }
+        Ok(programs.iter().all(|p| p.is_done()))
+    }
 }
 
 #[cfg(test)]
@@ -744,28 +815,79 @@ mod tests {
         }
     }
 
+    /// A 64-bit word that carries its declared size, so one program can
+    /// mix in-budget traffic with a planted oversized message.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Word(u64, usize);
+
+    impl Payload for Word {
+        fn bit_size(&self) -> usize {
+            self.1
+        }
+    }
+
+    /// The budget the [`Mixer`] tests run under: every normal [`Word`] fits
+    /// it exactly, a planted bandwidth fault exceeds it by one bit.
+    const MIXER_BITS: usize = 64;
+
+    /// A CONGEST violation a [`Mixer`] node plants in one of its rounds.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Fault {
+        /// An oversized message to the first neighbor, before any other send.
+        Bandwidth,
+        /// A second message to the first neighbor, after the normal sends.
+        Duplicate,
+        /// A message to the sender itself, after the normal sends.
+        NotANeighbor,
+    }
+
     /// Mixes hinted broadcasts with unhinted targeted sends,
     /// data-dependently, so the SoA engines drive both validator paths
-    /// against the AoS reference in one run.
+    /// against the AoS reference in one run. A node with a `fault` stays
+    /// awake until round `fault.0`, where it plants that violation.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Mixer {
         acc: u64,
         bursts_left: usize,
+        fault: Option<(usize, Fault)>,
+    }
+
+    impl Mixer {
+        fn fresh(n: usize, seed: u64) -> Vec<Mixer> {
+            (0..n)
+                .map(|v| Mixer {
+                    acc: v as u64 ^ seed,
+                    bursts_left: 1 + v % 4,
+                    fault: None,
+                })
+                .collect()
+        }
     }
 
     impl NodeProgram for Mixer {
-        type Msg = u64;
+        type Msg = Word;
         fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-            for &(from, msg) in ctx.inbox() {
+            for &(from, Word(msg, _)) in ctx.inbox() {
                 self.acc = self
                     .acc
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(msg ^ from as u64);
             }
+            let fault = match self.fault {
+                Some((at, fault)) if at == ctx.round() => {
+                    self.fault = None;
+                    Some(fault)
+                }
+                _ => None,
+            };
+            let first = ctx.neighbors().next().map_or(ctx.node(), |(w, _)| w);
+            if fault == Some(Fault::Bandwidth) {
+                ctx.send(first, Word(self.acc, MIXER_BITS + 1));
+            }
             if self.bursts_left > 0 {
                 self.bursts_left -= 1;
                 if self.acc % 2 == 0 {
-                    ctx.broadcast(self.acc);
+                    ctx.broadcast(Word(self.acc, MIXER_BITS));
                 } else {
                     let targets: Vec<NodeId> = ctx
                         .neighbors()
@@ -773,47 +895,127 @@ mod tests {
                         .map(|(w, _)| w)
                         .collect();
                     for w in targets {
-                        ctx.send(w, self.acc ^ w as u64);
+                        ctx.send(w, Word(self.acc ^ w as u64, MIXER_BITS));
                     }
                 }
             }
+            match fault {
+                Some(Fault::Duplicate) => {
+                    ctx.send(first, Word(1, MIXER_BITS));
+                    ctx.send(first, Word(2, MIXER_BITS));
+                }
+                Some(Fault::NotANeighbor) => ctx.send(ctx.node(), Word(3, MIXER_BITS)),
+                _ => {}
+            }
         }
         fn is_done(&self) -> bool {
-            self.bursts_left == 0
+            self.bursts_left == 0 && self.fault.is_none()
+        }
+    }
+
+    /// One per-node engine event, as seen by [`EventLog`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        Deliver(usize, NodeId, NodeId, usize),
+        Send(usize, NodeId, NodeId, EdgeId, usize),
+    }
+
+    impl Event {
+        fn round(&self) -> usize {
+            match *self {
+                Event::Deliver(round, ..) | Event::Send(round, ..) => round,
+            }
+        }
+    }
+
+    /// Records every per-node event in firing order. Forks start empty and
+    /// merges append, so a sharded run's log is its shards' logs in shard
+    /// order.
+    #[derive(Debug, Default)]
+    struct EventLog(Vec<Event>);
+
+    impl Sink for EventLog {
+        fn on_send(&mut self, round: usize, from: NodeId, to: NodeId, edge: EdgeId, bits: usize) {
+            self.0.push(Event::Send(round, from, to, edge, bits));
+        }
+        fn on_deliver(&mut self, round: usize, from: NodeId, to: NodeId, bits: usize) {
+            self.0.push(Event::Deliver(round, from, to, bits));
+        }
+        fn fork_shard(&self) -> Self {
+            EventLog::default()
+        }
+        fn merge_shard(&mut self, shard: Self) {
+            self.0.extend(shard.0);
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// SoA-vs-AoS byte identity: the column-based engines (sequential
-        /// and 4-thread) must match the tuple-based `run_naive` reference —
-        /// stats and final program states — on irregular traffic.
+        /// The test-only AoS `run_naive` is the independent oracle: on
+        /// irregular traffic every shard count must match its stats and
+        /// final program states, and — with violations of all three kinds
+        /// planted at random nodes and rounds — return its error.
         #[test]
         fn soa_engines_match_aos_reference(
+            n in 4usize..48, extra in 0usize..32, seed in 0u64..1000, faults in 1usize..5,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let g = generators::random_connected(n, extra, &mut rng);
+            let config = CongestConfig::for_nodes(n).with_bandwidth(MIXER_BITS);
+            let fresh = Mixer::fresh(n, seed);
+            let mut naive = fresh.clone();
+            let a = run_naive(&g, &mut naive, config).unwrap();
+            let mut faulty = fresh.clone();
+            for _ in 0..faults {
+                let v = rng.random_range(0..n);
+                let kind = [Fault::Bandwidth, Fault::Duplicate, Fault::NotANeighbor]
+                    [rng.random_range(0..3usize)];
+                faulty[v].fault = Some((rng.random_range(0..6usize), kind));
+            }
+            let want = run_naive(&g, &mut faulty.clone(), config).unwrap_err();
+            for shards in [1usize, 2, 3, 4, 7] {
+                let config = config.with_threads(shards);
+                let mut soa = fresh.clone();
+                let b = run(&g, &mut soa, config).unwrap();
+                proptest::prop_assert_eq!(a, b, "stats diverge (shards={})", shards);
+                proptest::prop_assert_eq!(
+                    &naive, &soa,
+                    "program states diverge (shards={})", shards
+                );
+                let got = run(&g, &mut faulty.clone(), config).unwrap_err();
+                proptest::prop_assert_eq!(&want, &got, "errors diverge (shards={})", shards);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The `Sink` hook order holds inside every shard: per round, per
+        /// node in ascending id order, `on_deliver` for each inbox message
+        /// and then `on_send` for each validated send. Forks merge once, at
+        /// the end of the run, so a stable sort by round must turn any
+        /// shard count's log into the one-shard log, event for event.
+        #[test]
+        fn sink_hook_order_is_shard_independent(
             n in 4usize..48, extra in 0usize..32, seed in 0u64..1000,
         ) {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let g = generators::random_connected(n, extra, &mut rng);
-            let fresh: Vec<Mixer> = (0..n)
-                .map(|v| Mixer { acc: v as u64 ^ seed, bursts_left: 1 + v % 4 })
-                .collect();
-            let mut naive = fresh.clone();
-            let a = run_naive(&g, &mut naive, CongestConfig::for_nodes(n)).unwrap();
-            for threads in [1usize, 4] {
-                let mut soa = fresh.clone();
-                let b = run(
-                    &g,
-                    &mut soa,
-                    CongestConfig::for_nodes(n).with_threads(threads),
-                )
+            let config = CongestConfig::for_nodes(n).with_bandwidth(MIXER_BITS);
+            let mut want = EventLog::default();
+            run_with_sink(&g, &mut Mixer::fresh(n, seed), config.with_threads(1), &mut want)
                 .unwrap();
-                proptest::prop_assert_eq!(a, b, "stats diverge (threads={})", threads);
-                proptest::prop_assert_eq!(
-                    &naive, &soa,
-                    "program states diverge (threads={})", threads
-                );
+            proptest::prop_assert!(want.0.iter().any(|e| matches!(e, Event::Deliver(..))));
+            for shards in 2..=4usize {
+                let mut got = EventLog::default();
+                run_with_sink(&g, &mut Mixer::fresh(n, seed), config.with_threads(shards), &mut got)
+                    .unwrap();
+                got.0.sort_by_key(Event::round);
+                proptest::prop_assert_eq!(&want.0, &got.0, "event logs diverge (shards={})", shards);
             }
         }
     }
@@ -875,10 +1077,10 @@ mod tests {
 
     #[test]
     fn error_selection_is_deterministic_across_engines() {
-        // Nodes 2 and 14 both blast oversized broadcasts in round 0. The
-        // sequential engine reports node 2's first send; any sharding of the
-        // parallel engine must report the identical (from, to) pair even
-        // though node 14 lives in a later shard that may finish first.
+        // Nodes 2 and 14 both blast oversized broadcasts in round 0. One
+        // shard reports node 2's first send; any sharding must report the
+        // identical (from, to) pair even though node 14 lives in a later
+        // shard that may finish first.
         let g = generators::cycle(16);
         let make = || {
             (0..16)

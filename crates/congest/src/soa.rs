@@ -117,6 +117,17 @@ impl<M> SendColumns<M> {
         self.dsts.clear();
         self.payloads.clear();
     }
+
+    /// Appends `from`'s whole validated outbox, moving its payloads out:
+    /// the sender column is a constant run, the destination column a
+    /// memcpy, the payload column one move.
+    #[inline]
+    pub(crate) fn append_outbox(&mut self, from: NodeId, outbox: &mut Outbox<M>) {
+        self.srcs
+            .extend(std::iter::repeat(from as u32).take(outbox.len()));
+        self.dsts.extend_from_slice(&outbox.dsts);
+        self.payloads.append(&mut outbox.payloads);
+    }
 }
 
 /// One shard's incoming mail for a round: `(local index, sender, payload)`
@@ -154,5 +165,21 @@ impl<M> DeliveryColumns<M> {
         self.locals.push(local as u32);
         self.srcs.push(src as u32);
         self.payloads.push(msg);
+    }
+
+    /// Moves every delivery into the shard's `inboxes` (indexed by local
+    /// node index) and leaves the columns empty but warm. Deliveries arrive
+    /// in global ascending-sender order, so each inbox stays sorted by
+    /// sender, as on one shard.
+    pub(crate) fn drain_into(&mut self, inboxes: &mut [Vec<(NodeId, M)>]) {
+        for ((&local, &from), msg) in self
+            .locals
+            .iter()
+            .zip(&self.srcs)
+            .zip(self.payloads.drain(..))
+        {
+            inboxes[local as usize].push((from as NodeId, msg));
+        }
+        self.clear();
     }
 }

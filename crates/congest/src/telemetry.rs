@@ -4,7 +4,7 @@
 //! The CONGEST cost model is *about* congestion, yet [`RunStats`] only
 //! reports end-of-run aggregates. This module adds a zero-cost-when-off
 //! observability layer: the [`Sink`] trait receives events from the
-//! execution engines (round boundaries, every validated send, every
+//! execution engine (round boundaries, every validated send, every
 //! delivery, validator rejections) and from phase-structured drivers
 //! (phase span enter/exit), and [`CongestionProfile`] is the recorder
 //! implementation that accumulates per-edge congestion, per-round message
@@ -22,17 +22,17 @@
 //! ## Determinism contract
 //!
 //! A [`CongestionProfile`] recorded from a successful run is
-//! **byte-identical across the sequential and parallel engines** and any
-//! thread count: every counter is a sum, max, or round-indexed sum of
-//! per-event contributions, and the parallel engine forks one sink per
+//! **byte-identical across every engine shard count**: every shard runs
+//! the same per-node body, every counter is a sum, max, or round-indexed
+//! sum of per-event contributions, and a sharded run forks one sink per
 //! shard ([`Sink::fork_shard`]) and merges them back in ascending node-id
 //! shard order ([`Sink::merge_shard`]) — mirroring how it merges the
 //! shards' message buffers. [`CongestionProfile::render`] is the canonical
 //! byte-comparable form.
 //!
-//! On failing runs the rejection event itself is deterministic (the
-//! engines agree on the reported error), but send/deliver totals after the
-//! offending round are engine-dependent, just like program states.
+//! On failing runs the rejection event itself is deterministic (every
+//! shard count reports the same error), but send/deliver totals after the
+//! offending round depend on the shard count, just like program states.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -83,19 +83,21 @@ impl fmt::Display for PhaseLabel {
     }
 }
 
-/// An event sink wired into the execution engines.
+/// An event sink wired into the execution engine.
 ///
 /// All event hooks default to no-ops, so a sink implements only what it
 /// cares about. The two shard hooks have no default: any sink must say how
-/// it splits and re-joins across the parallel engine's shards, because
-/// getting that wrong silently breaks the determinism contract.
+/// it splits and re-joins across a sharded run's shards, because getting
+/// that wrong silently breaks the determinism contract.
 ///
 /// Hook order on a successful run, per round `r`: `on_round_start(r)`,
 /// then per node in ascending id order `on_deliver` for each inbox message
 /// followed by `on_send` for each validated outbox message, then
-/// `on_round_end(r)`. On the parallel engine the per-node events of one
-/// round land in per-shard forks and only the round hooks fire on the root
-/// sink; after the merge the accumulated totals are identical.
+/// `on_round_end(r)`. With more than one shard the per-node events land,
+/// in that same order, in per-shard forks, and only the round hooks fire on
+/// the root sink; the forks merge once, in shard order, when the run ends,
+/// so the merged per-node events sorted stably by round are exactly the
+/// one-shard sequence.
 pub trait Sink: Sized + Send {
     /// A synchronous round is starting.
     #[inline]
@@ -142,8 +144,8 @@ pub trait Sink: Sized + Send {
         let _ = (label, stats, repeats);
     }
 
-    /// A fresh sink for one shard of the parallel engine. Shard sinks see
-    /// only `on_send`/`on_deliver`.
+    /// A fresh sink for one shard of a sharded run. Shard sinks see only
+    /// `on_send`/`on_deliver`.
     fn fork_shard(&self) -> Self;
 
     /// Folds a shard sink back in. The engine calls this in ascending
